@@ -2,7 +2,7 @@
 //!
 //! Wraps the system allocator in a counting shim and measures how many
 //! heap allocations the engine performs *per extra round* once a run is
-//! in steady state. The flat queue, inbox pool and walk state are all
+//! in steady state. The flat queue, flat inbox and walk state are all
 //! designed to reach their high-water mark early and then recycle
 //! capacity; this bench is the regression guard for that property —
 //! the difference between a long run and a short run of the same
@@ -92,7 +92,29 @@ fn main() {
     let p1_per_round = (p1_long.saturating_sub(p1_short)) as f64 / 128.0;
     println!("phase-1 walks   : {p1_short:>8} allocs @ lambda=64, {p1_long:>8} @ lambda=192 -> {p1_per_round:.4} allocs/extra round");
 
-    // Bounds: both loops are amortized allocation-free in steady state
+    // Radix-staged Phase 1: four walks per node put 1024 tokens on the
+    // 1024 directed edges every round, so each round stages at least
+    // RADIX_MIN_SENDS = 256 sends (the radix sort, not the comparison
+    // sort), backs edges up into the leftover buffers, and fills the
+    // flat inbox with ~1000 envelopes. The recycled radix key buffers,
+    // gather buffer and inbox must reach their high-water mark early.
+    let phase1_dense = |lambda: u32| {
+        let mut state = drw_core::WalkState::new(g.n());
+        let mut p = drw_core::ShortWalksProtocol::new(&mut state, vec![4; g.n()], lambda, false);
+        drw_congest::run_node_local(&g, &drw_congest::EngineConfig::default(), 7, &mut p).unwrap()
+    };
+    let (dense_report, dense_short) = counted(|| phase1_dense(64));
+    let (_, dense_long) = counted(|| phase1_dense(192));
+    let dense_per_round = (dense_long.saturating_sub(dense_short)) as f64 / 128.0;
+    println!("phase-1 x4 walks: {dense_short:>8} allocs @ lambda=64, {dense_long:>8} @ lambda=192 -> {dense_per_round:.4} allocs/extra round");
+    assert!(
+        dense_report.messages >= 256 * dense_report.rounds,
+        "the dense row must stage at least 256 sends per round: {} messages in {} rounds",
+        dense_report.messages,
+        dense_report.rounds
+    );
+
+    // Bounds: every loop is amortized allocation-free in steady state
     // (the flat queue's stage sort used to allocate once per round;
     // keep these tight so it can't creep back).
     assert!(
@@ -102,6 +124,10 @@ fn main() {
     assert!(
         p1_per_round < 1.0,
         "phase-1 steady state regressed: {p1_per_round:.4} allocs/round"
+    );
+    assert!(
+        dense_per_round == 0.0,
+        "radix-staged phase-1 steady state regressed: {dense_per_round:.4} allocs/round"
     );
     println!("steady-state allocation bounds hold");
 }

@@ -164,9 +164,11 @@ impl std::error::Error for RunError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryReport {
-    /// The flat message queue's backing buffers (bucket index + storage).
+    /// The flat message queue's backing buffers (bucket index, storage,
+    /// leftovers and the stage sort's key and gather buffers).
     pub queue_bytes: usize,
-    /// Per-node inbox buffers.
+    /// The flat inbox: one envelope buffer for all of a round's
+    /// deliveries plus its per-receiver `(node, start)` range index.
     pub inbox_bytes: usize,
     /// Per-node RNG streams.
     pub rng_bytes: usize,

@@ -18,10 +18,13 @@
 //! Callers normally do not name a backend: they set
 //! [`ExecutorKind`] on [`crate::EngineConfig`] and go through
 //! [`crate::run_protocol`] / [`crate::run_node_local`] (or
-//! [`crate::Runner`]), which dispatch here. Both backends share the
-//! `queue::FlatQueue` flat bucketed message queue — a CSR-style
-//! single-backing-`Vec` structure that replaced the seed engine's
-//! per-edge `VecDeque`s.
+//! [`crate::Runner`]), which dispatch here. All three backends share
+//! one message path, `queue::FlatQueue`: a CSR-style queue whose
+//! buckets are keyed by each message's incoming slot (the reverse edge
+//! id), so a delivery scan in slot order writes one flat inbox already
+//! grouped by receiving node, receivers ascending, and staging sorts a
+//! round's sends by slot with a linear-time radix sort. The backends
+//! differ only in how they run the receive phase over that inbox.
 
 pub(crate) mod queue;
 
@@ -40,8 +43,8 @@ use drw_graph::Graph;
 
 /// Which round-executor backend a run uses.
 ///
-/// Both backends are deterministic and produce identical results for
-/// the same graph, seed and protocol; the choice affects wall-clock
+/// All three backends are deterministic and produce identical results
+/// for the same graph, seed and protocol; the choice affects wall-clock
 /// time only. `Sequential` is the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {

@@ -18,7 +18,7 @@
 //! lightweight phases (BFS waves, single naive tokens) never pay for
 //! threads they cannot use.
 
-use super::queue::FlatQueue;
+use super::queue::{FlatQueue, Inbox};
 use super::RoundExecutor;
 use crate::engine::{EngineConfig, RunError, RunReport};
 use crate::message::Envelope;
@@ -81,11 +81,40 @@ impl Default for ParallelExecutor {
 
 /// One receiving node's slice of the round: its state, RNG stream and
 /// inbox, carved out for exclusive access by one worker.
-struct WorkItem<'a, P: NodeLocalProtocol> {
-    node: usize,
-    state: &'a mut P::NodeState,
-    rng: &'a mut StdRng,
-    inbox: &'a mut Vec<Envelope<P::Msg>>,
+pub(super) struct WorkItem<'a, P: NodeLocalProtocol> {
+    pub(super) node: usize,
+    pub(super) state: &'a mut P::NodeState,
+    pub(super) rng: &'a mut StdRng,
+    pub(super) inbox: &'a mut [Envelope<P::Msg>],
+}
+
+/// Carves disjoint `&mut` views of every receiving node's state, RNG
+/// stream and inbox slice out of the full slices (safe: receivers are
+/// ascending and distinct, so the carves never overlap).
+pub(super) fn work_items<'a, P: NodeLocalProtocol>(
+    states: &'a mut [P::NodeState],
+    rngs: &'a mut [StdRng],
+    inbox: &'a mut Inbox<P::Msg>,
+) -> Vec<WorkItem<'a, P>> {
+    let mut items = Vec::with_capacity(inbox.node_count());
+    let mut rest_states = states;
+    let mut rest_rngs = rngs;
+    let mut consumed = 0usize;
+    for (node, msgs) in inbox.iter_mut() {
+        let offset = node - consumed;
+        let (head, tail) = std::mem::take(&mut rest_states)[offset..].split_at_mut(1);
+        rest_states = tail;
+        let (rhead, rtail) = std::mem::take(&mut rest_rngs)[offset..].split_at_mut(1);
+        rest_rngs = rtail;
+        consumed = node + 1;
+        items.push(WorkItem {
+            node,
+            state: &mut head[0],
+            rng: &mut rhead[0],
+            inbox: msgs,
+        });
+    }
+    items
 }
 
 impl RoundExecutor for ParallelExecutor {
@@ -113,8 +142,7 @@ impl RoundExecutor for ParallelExecutor {
         let max_threads = self.threads().max(1);
         let mut rngs = NodeRngs::new(seed, n);
         let mut queue: FlatQueue<P::Msg> = FlatQueue::for_graph(graph);
-        let mut inbox: Vec<Vec<Envelope<P::Msg>>> = vec![Vec::new(); n];
-        let mut active: Vec<usize> = Vec::new();
+        let mut inbox: Inbox<P::Msg> = Inbox::default();
         let mut report = RunReport::default();
         if cfg.record_edge_loads {
             report.edge_load_histogram = vec![0; super::queue::LOAD_HISTOGRAM_BUCKETS];
@@ -124,7 +152,7 @@ impl RoundExecutor for ParallelExecutor {
         let mut ctx = Ctx::new(graph, 0, &mut rngs);
         protocol.start(&mut ctx);
         let mut staged_buf = ctx.staged;
-        queue.stage(&mut staged_buf, cfg, 1, &mut report)?;
+        queue.stage(graph, &mut staged_buf, cfg, 1, &mut report)?;
 
         let mut round: u64 = 0;
         // `is_idle`, not emptiness: fault-delayed messages parked for
@@ -139,9 +167,7 @@ impl RoundExecutor for ParallelExecutor {
                 return Err(RunError::MaxRoundsExceeded(cfg.max_rounds));
             }
 
-            active.clear();
-            let delivered = queue.deliver(graph, cfg, round, &mut report, &mut inbox, &mut active);
-            active.sort_unstable();
+            let delivered = queue.deliver(graph, cfg, round, &mut report, &mut inbox);
 
             // Global hook first, sequentially, exactly like the
             // sequential executor; its stages precede all node stages.
@@ -150,48 +176,21 @@ impl RoundExecutor for ParallelExecutor {
             let mut staged = ctx.staged;
 
             let threads = max_threads
-                .min(active.len().max(1))
+                .min(inbox.node_count().max(1))
                 .min((delivered / MSGS_PER_WORKER).max(1) as usize);
             if threads < 2 || delivered < PARALLEL_THRESHOLD {
                 // Inline receive phase: identical to the sequential
                 // backend by construction.
                 let (shared, states) = protocol.parts();
-                for &node in &active {
+                for (node, msgs) in inbox.iter() {
                     let mut nctx = NodeCtx::new(graph, round, node, rngs.node(node), &mut staged);
-                    P::on_receive_local(shared, &mut states[node], node, &inbox[node], &mut nctx);
-                    inbox[node].clear(); // keep the allocation for next round
+                    P::on_receive_local(shared, &mut states[node], node, msgs, &mut nctx);
                 }
             } else {
                 let (shared, states) = protocol.parts();
                 debug_assert_eq!(states.len(), n, "one NodeState per node required");
 
-                // Carve disjoint &mut views for each receiving node out
-                // of the state, RNG and inbox slices (safe: `active` is
-                // sorted and deduplicated, so the carves never overlap).
-                let mut items: Vec<WorkItem<'_, P>> = Vec::with_capacity(active.len());
-                let mut rest_states: &mut [P::NodeState] = states;
-                let mut rest_rngs: &mut [StdRng] = rngs.as_mut_slice();
-                let mut rest_inbox: &mut [Vec<Envelope<P::Msg>>] = &mut inbox;
-                let mut consumed = 0usize;
-                for &node in &active {
-                    let offset = node - consumed;
-                    let (_, tail) = std::mem::take(&mut rest_states).split_at_mut(offset);
-                    let (head, tail) = tail.split_at_mut(1);
-                    rest_states = tail;
-                    let (_, rtail) = std::mem::take(&mut rest_rngs).split_at_mut(offset);
-                    let (rhead, rtail) = rtail.split_at_mut(1);
-                    rest_rngs = rtail;
-                    let (_, itail) = std::mem::take(&mut rest_inbox).split_at_mut(offset);
-                    let (ihead, itail) = itail.split_at_mut(1);
-                    rest_inbox = itail;
-                    consumed = node + 1;
-                    items.push(WorkItem {
-                        node,
-                        state: &mut head[0],
-                        rng: &mut rhead[0],
-                        inbox: &mut ihead[0],
-                    });
-                }
+                let mut items = work_items::<P>(states, rngs.as_mut_slice(), &mut inbox);
 
                 // Contiguous chunks preserve ascending node order within
                 // and across workers; concatenating per-worker staging
@@ -208,7 +207,6 @@ impl RoundExecutor for ParallelExecutor {
                                 P::on_receive_local(
                                     shared, item.state, item.node, item.inbox, &mut nctx,
                                 );
-                                item.inbox.clear(); // keep the allocation
                             }
                         });
                     }
@@ -218,7 +216,7 @@ impl RoundExecutor for ParallelExecutor {
                 }
             }
             staged_buf = staged;
-            queue.stage(&mut staged_buf, cfg, round + 1, &mut report)?;
+            queue.stage(graph, &mut staged_buf, cfg, round + 1, &mut report)?;
         }
 
         report.rounds = round;

@@ -1,20 +1,31 @@
-//! The flat bucketed message queue backing the round executors.
+//! The flat, destination-grouped message queue backing every round
+//! executor, and the flat inbox it delivers into.
 //!
 //! The seed engine kept one `VecDeque<Msg>` per directed edge — `2m`
 //! heap-backed deques, each paying its own allocation the first time an
 //! edge carries a message, plus a `busy_edges` side list that was sorted
 //! and deduplicated every round. This structure replaces all of that
 //! with CSR-style storage, mirroring how [`drw_graph::Graph`] stores
-//! adjacency: one backing `Vec` of messages, grouped by edge, plus a
-//! sorted bucket index `(edge id, range)`. Only *busy* edges appear in
+//! adjacency: one backing `Vec` of messages, grouped by bucket, plus a
+//! sorted bucket index `(slot, range)`. Only *busy* buckets appear in
 //! the index, so idle protocols pay `O(busy)` per round, not `O(m)`.
 //!
+//! Buckets are keyed by each message's **incoming slot** — the id of the
+//! reverse edge, `graph.reverse_edge(eid)`. Adjacency lists are sorted
+//! and edge ids follow the source CSR, so the slot of `u -> v` is
+//! `v`'s edge towards `u`, and ascending slot order is ascending
+//! `(target, source)` order: a delivery scan in slot order fills each
+//! receiver's inbox contiguously, grouped by ascending sender and FIFO
+//! per sender, with receivers in ascending node order. That is the
+//! reference inbox order, produced without per-node inbox buffers or a
+//! per-round sort of the receiving nodes.
+//!
 //! Per round the executor calls [`FlatQueue::deliver`] (drains up to
-//! `edge_capacity` messages per bucket, compacting the leftovers) and
-//! then [`FlatQueue::stage`] (merges the round's staged sends behind the
-//! leftovers, bucket-by-bucket). Both walks are in ascending edge-id
-//! order, which is what makes runs deterministic regardless of executor
-//! backend.
+//! `edge_capacity` messages per bucket into an [`Inbox`], compacting
+//! the leftovers) and then [`FlatQueue::stage`] (sorts the round's
+//! staged sends by slot and merges them behind the leftovers,
+//! bucket-by-bucket). Both walks are in ascending slot order, which is
+//! what makes runs deterministic regardless of executor backend.
 
 use crate::engine::{EngineConfig, RunError, RunReport};
 use crate::fault::FaultDecision;
@@ -23,27 +34,168 @@ use drw_graph::Graph;
 
 pub(crate) const LOAD_HISTOGRAM_BUCKETS: usize = 64;
 
-/// A flat, bucketed FIFO multi-queue keyed by directed edge id.
+/// Staging rounds with at least this many sends are radix-sorted; below
+/// it a comparison sort of the packed keys is cheaper than the radix
+/// passes' fixed 256-bucket overhead.
+const RADIX_MIN_SENDS: usize = 256;
+
+/// One round's deliveries, grouped by receiving node: a single
+/// envelope buffer plus a `(node, start)` index, both ascending. The
+/// receivers' slices tile the buffer with no gaps.
+#[derive(Debug)]
+pub(crate) struct Inbox<M> {
+    envs: Vec<Envelope<M>>,
+    /// `(node, start)`: `node`'s envelopes run from `start` to the next
+    /// entry's start (or the end of `envs`).
+    index: Vec<(usize, usize)>,
+}
+
+impl<M> Default for Inbox<M> {
+    fn default() -> Self {
+        Inbox {
+            envs: Vec::new(),
+            index: Vec::new(),
+        }
+    }
+}
+
+impl<M> Inbox<M> {
+    fn clear(&mut self) {
+        self.envs.clear();
+        self.index.clear();
+    }
+
+    /// Appends `env` to its receiver's slice. Deliveries must arrive
+    /// grouped by receiver, receivers ascending.
+    fn push(&mut self, env: Envelope<M>) {
+        match self.index.last() {
+            Some(&(node, _)) if node == env.to => {}
+            last => {
+                debug_assert!(last.is_none_or(|&(node, _)| node < env.to));
+                self.index.push((env.to, self.envs.len()));
+            }
+        }
+        self.envs.push(env);
+    }
+
+    /// Number of nodes that received at least one message.
+    pub(crate) fn node_count(&self) -> usize {
+        self.index.len()
+    }
+
+    /// End offset of receiver `i`'s slice.
+    fn end(&self, i: usize) -> usize {
+        self.index.get(i + 1).map_or(self.envs.len(), |&(_, s)| s)
+    }
+
+    /// `(node, inbox)` for every receiving node, ascending by node.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &[Envelope<M>])> + '_ {
+        (0..self.index.len()).map(move |i| {
+            let (node, start) = self.index[i];
+            (node, &self.envs[start..self.end(i)])
+        })
+    }
+
+    /// Like [`Inbox::iter`], but with disjoint `&mut` slices that can be
+    /// handed to different worker threads (`&mut [Envelope<M>]` is
+    /// `Send` whenever `M` is).
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut [Envelope<M>])> + '_ {
+        let mut rest: &mut [Envelope<M>] = &mut self.envs;
+        let mut index = self.index.iter().peekable();
+        std::iter::from_fn(move || {
+            let &(node, start) = index.next()?;
+            let len = index.peek().map_or(rest.len(), |&&(_, next)| next - start);
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            Some((node, head))
+        })
+    }
+
+    /// Bytes of backing capacity: the envelope buffer plus the range
+    /// index (high-water marks, since `Vec` never shrinks).
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.envs.capacity() * std::mem::size_of::<Envelope<M>>()
+            + self.index.capacity() * std::mem::size_of::<(usize, usize)>()
+    }
+}
+
+/// Appends reorder-faulted envelopes behind their receiver's ordinary
+/// deliveries, billing them.
+fn flush_reordered<M: Message>(
+    reordered: &mut Vec<Envelope<M>>,
+    inbox: &mut Inbox<M>,
+    report: &mut RunReport,
+) {
+    for env in reordered.drain(..) {
+        report.messages += 1;
+        report.words += env.msg.size_words() as u64;
+        inbox.push(env);
+    }
+}
+
+/// Sorts staging keys `slot << 32 | staging index` ascending. Keys are
+/// built in ascending index order and indices are unique, so this is a
+/// *stable* sort by slot. `slot_bits` is the bitwise OR of all slots (it
+/// has the largest slot's top bit). Large rounds use a stable LSD radix
+/// sort over the slot's bytes — as many 8-bit passes as the largest slot
+/// needs, skipping passes whose digit is the same for every key —
+/// ping-ponging through `tmp`; small rounds use `sort_unstable` on the
+/// packed keys. Neither allocates once `tmp` has grown to the round size.
+fn sort_staging_keys(keys: &mut Vec<u64>, tmp: &mut Vec<u64>, slot_bits: u64) {
+    let len = keys.len();
+    if len < RADIX_MIN_SENDS {
+        keys.sort_unstable();
+        return;
+    }
+    let passes = (u64::BITS - slot_bits.leading_zeros()).div_ceil(8) as usize;
+    let mut counts = [[0u32; 256]; 4];
+    for &k in keys.iter() {
+        let slot = k >> 32;
+        for (p, c) in counts.iter_mut().enumerate().take(passes) {
+            c[((slot >> (8 * p)) & 0xff) as usize] += 1;
+        }
+    }
+    tmp.resize(len, 0);
+    for (p, c) in counts.iter_mut().enumerate().take(passes) {
+        if c.iter().any(|&x| x as usize == len) {
+            continue; // one digit value: the pass is the identity
+        }
+        let mut sum = 0u32;
+        for x in c.iter_mut() {
+            let count = *x;
+            *x = sum;
+            sum += count;
+        }
+        let shift = 32 + 8 * p;
+        for &k in keys.iter() {
+            let d = ((k >> shift) & 0xff) as usize;
+            tmp[c[d] as usize] = k;
+            c[d] += 1;
+        }
+        std::mem::swap(keys, tmp);
+    }
+}
+
+/// A flat, bucketed FIFO multi-queue keyed by incoming slot.
 #[derive(Debug)]
 pub(crate) struct FlatQueue<M> {
-    /// Busy edge ids, ascending.
-    eids: Vec<u32>,
-    /// `starts[i]..starts[i + 1]` is the bucket of `eids[i]` in `msgs`.
+    /// Busy incoming slots (`reverse_edge(eid)`), ascending.
+    slots: Vec<u32>,
+    /// `starts[i]..starts[i + 1]` is the bucket of `slots[i]` in `msgs`.
     starts: Vec<u32>,
     /// Backing message storage, grouped by bucket, FIFO within a bucket.
     msgs: Vec<M>,
     /// Leftover buffers double-buffering `deliver` → `stage`.
-    left_eids: Vec<u32>,
+    left_slots: Vec<u32>,
     left_starts: Vec<u32>,
     left_msgs: Vec<M>,
-    /// Reusable `(eid, index)` buffer for the stage sort. `Vec::sort` is
-    /// a stable merge sort that heap-allocates its scratch *every call*
-    /// — one allocation per round, forever, as measured by the
-    /// `alloc_counter` bench. Sorting copyable key pairs with the
-    /// in-place `sort_unstable` instead (the index makes it equivalent
-    /// to a stable sort by eid) keeps steady-state rounds
-    /// allocation-free.
-    sort_keys: Vec<(u32, u32)>,
+    /// Recycled stage-sort buffers: packed `slot << 32 | index` keys and
+    /// the radix sort's ping-pong partner.
+    keys: Vec<u64>,
+    keys_tmp: Vec<u64>,
+    /// The round's staged messages, parked by staging index so the merge
+    /// can move each one exactly once, straight into its bucket.
+    gather: Vec<Option<M>>,
     /// Messages parked by the fault layer as `(due round, eid, msg)`:
     /// delayed deliveries and ARQ retransmissions of healed drops. Due
     /// entries re-enter their edge queue during the `stage` call that
@@ -57,44 +209,25 @@ impl<M: Message> FlatQueue<M> {
     /// bucket index and message storage get capacity for one message per
     /// directed edge — the flood peak (a BFS wave touches every edge
     /// once), which is the high-water mark the first big wave would
-    /// otherwise realloc its way up to. Leftover buffers grow organically
-    /// (they hold only backlog, usually a small fraction).
+    /// otherwise realloc its way up to. Leftover and sort buffers grow
+    /// organically (they hold only backlog or one round's sends).
     pub(crate) fn for_graph(graph: &Graph) -> Self {
         let peak = graph.dir_edge_count();
         FlatQueue {
-            eids: Vec::with_capacity(peak),
+            slots: Vec::with_capacity(peak),
             starts: {
                 let mut s = Vec::with_capacity(peak + 1);
                 s.push(0);
                 s
             },
             msgs: Vec::with_capacity(peak),
-            left_eids: Vec::new(),
+            left_slots: Vec::new(),
             left_starts: vec![0],
             left_msgs: Vec::new(),
-            sort_keys: Vec::new(),
+            keys: Vec::new(),
+            keys_tmp: Vec::new(),
+            gather: Vec::new(),
             future: Vec::new(),
-        }
-    }
-
-    /// Stable-sorts `staged` by edge id without allocating: sorts
-    /// `(eid, original index)` pairs in the reusable key buffer, then
-    /// applies the permutation in place by cycle-chasing swaps.
-    fn sort_staged(&mut self, staged: &mut [(usize, M)]) {
-        self.sort_keys.clear();
-        self.sort_keys.extend(
-            staged
-                .iter()
-                .enumerate()
-                .map(|(i, &(eid, _))| (eid as u32, i as u32)),
-        );
-        self.sort_keys.sort_unstable();
-        for i in 0..staged.len() {
-            let mut j = self.sort_keys[i].1 as usize;
-            while j < i {
-                j = self.sort_keys[j].1 as usize;
-            }
-            staged.swap(i, j);
         }
     }
 
@@ -103,10 +236,11 @@ impl<M: Message> FlatQueue<M> {
     /// run's true high-water mark.
     pub(crate) fn capacity_bytes(&self) -> usize {
         let msg = std::mem::size_of::<M>();
-        (self.eids.capacity() + self.left_eids.capacity()) * std::mem::size_of::<u32>()
+        (self.slots.capacity() + self.left_slots.capacity()) * std::mem::size_of::<u32>()
             + (self.starts.capacity() + self.left_starts.capacity()) * std::mem::size_of::<u32>()
             + (self.msgs.capacity() + self.left_msgs.capacity()) * msg
-            + self.sort_keys.capacity() * std::mem::size_of::<(u32, u32)>()
+            + (self.keys.capacity() + self.keys_tmp.capacity()) * std::mem::size_of::<u64>()
+            + self.gather.capacity() * std::mem::size_of::<Option<M>>()
             + self.future.capacity() * std::mem::size_of::<(u64, u32, M)>()
     }
 
@@ -120,11 +254,10 @@ impl<M: Message> FlatQueue<M> {
     }
 
     /// Delivers up to `edge_capacity` messages per busy edge into
-    /// `inbox`, in ascending edge-id order, recording statistics.
-    /// Returns the number of delivered messages. Nodes that received at
-    /// least one message are appended to `active` (ascending, since
-    /// multiple edges into one node are visited in ascending order but
-    /// each node is pushed only on its first delivery — callers sort).
+    /// `inbox` (cleared first), scanning buckets in ascending slot
+    /// order, and records statistics. Returns the number of delivered
+    /// messages. Each receiver's slice comes out grouped by ascending
+    /// sender, FIFO per sender, receivers ascending.
     ///
     /// When the engine carries an active [`crate::FaultPlan`], each
     /// delivery attempt is first submitted to the plan, keyed by
@@ -133,48 +266,51 @@ impl<M: Message> FlatQueue<M> {
     /// messages still consume their capacity slot (the bandwidth was
     /// spent) but only actual deliveries are billed to
     /// `report.messages`/`words`; dropped-and-healed or delayed
-    /// messages are parked in `future`, reordered ones are appended
-    /// behind every ordinary delivery of the round.
+    /// messages are parked in `future`, reordered ones land at the end
+    /// of their receiver's slice, in edge-id scan order.
     pub(crate) fn deliver(
         &mut self,
         graph: &Graph,
         cfg: &EngineConfig,
         round: u64,
         report: &mut RunReport,
-        inbox: &mut [Vec<Envelope<M>>],
-        active: &mut Vec<usize>,
+        inbox: &mut Inbox<M>,
     ) -> u64 {
         let plan = cfg.faults.filter(|p| p.is_active());
         let cap = cfg.edge_capacity.unwrap_or(usize::MAX);
         // Scripted fault timing (checker mode): precompute the round's
-        // baseline fates in delivery-scan order, then reassign them
+        // baseline fates in edge-id scan order, then reassign them
         // through the timing permutation. The multiset of fates — the
         // round's fault budget — is preserved; only *which* attempt
-        // each fate hits moves. `None` on the production path.
+        // each fate hits moves. The result is laid out in the slot scan
+        // order below. `None` on the production path.
         let timed_fates: Option<Vec<(FaultDecision, bool)>> = plan.and_then(|p| {
             p.timing.map(|t| {
+                let attempts = |i: usize| ((self.starts[i + 1] - self.starts[i]) as usize).min(cap);
+                let eid_of = |i: usize| graph.reverse_edge(self.slots[i] as usize);
+                let mut by_eid: Vec<usize> = (0..self.slots.len()).collect();
+                by_eid.sort_unstable_by_key(|&i| eid_of(i));
+                // `base[i]`: eid-order position of bucket `i`'s first attempt.
+                let mut base = vec![0usize; self.slots.len()];
                 let mut fates = Vec::new();
-                for i in 0..self.eids.len() {
-                    let eid = self.eids[i] as usize;
-                    let len = (self.starts[i + 1] - self.starts[i]) as usize;
-                    for k in 0..len.min(cap) {
-                        fates.push(p.decide(round, eid, k));
-                    }
+                for i in by_eid {
+                    base[i] = fates.len();
+                    fates.extend((0..attempts(i)).map(|k| p.decide(round, eid_of(i), k)));
                 }
                 let perm = crate::fault::timing_permutation(t.index, round, fates.len());
-                perm.iter()
-                    .enumerate()
-                    .map(|(g, &src)| (fates[src], src != g))
+                (0..self.slots.len())
+                    .flat_map(|i| base[i]..base[i] + attempts(i))
+                    .map(|g| (fates[perm[g]], perm[g] != g))
                     .collect()
             })
         });
-        let mut slot = 0usize;
-        let mut delivered_total = 0u64;
-        // Envelopes diverted by reorder faults; flushed after the main
-        // scan (no allocation on the fault-free path: an empty `Vec`
-        // holds no buffer).
-        let mut reordered: Vec<(usize, usize, M)> = Vec::new();
-        self.left_eids.clear();
+        let mut attempt = 0usize;
+        inbox.clear();
+        // Envelopes diverted by reorder faults, held until the scan
+        // leaves their receiver (no allocation on the fault-free path:
+        // an empty `Vec` holds no buffer).
+        let mut reordered: Vec<Envelope<M>> = Vec::new();
+        self.left_slots.clear();
         self.left_starts.clear();
         self.left_starts.push(0);
         self.left_msgs.clear();
@@ -182,12 +318,16 @@ impl<M: Message> FlatQueue<M> {
         // rounds (the whole point of the flat queue).
         let mut storage = std::mem::take(&mut self.msgs);
         let mut stream = storage.drain(..);
-        for i in 0..self.eids.len() {
-            let eid = self.eids[i] as usize;
+        for i in 0..self.slots.len() {
+            let slot = self.slots[i] as usize;
+            // The slot is the reverse edge `to -> from`.
+            let to = graph.edge_source(slot);
+            let from = graph.edge_target(slot);
+            if reordered.first().is_some_and(|env| env.to != to) {
+                flush_reordered(&mut reordered, inbox, report);
+            }
             let bucket_len = (self.starts[i + 1] - self.starts[i]) as usize;
             let take = bucket_len.min(cap);
-            let from = graph.edge_source(eid);
-            let to = graph.edge_target(eid);
             let mut bucket_words = 0usize;
             for k in 0..take {
                 let msg = stream.next().expect("bucket index matches storage");
@@ -201,11 +341,12 @@ impl<M: Message> FlatQueue<M> {
                     msg.census(&mut report.wire);
                 }
                 if let Some(plan) = plan {
+                    let eid = graph.reverse_edge(slot);
                     let (fate, moved) = match &timed_fates {
-                        Some(fates) => fates[slot],
+                        Some(fates) => fates[attempt],
                         None => (plan.decide(round, eid, k), false),
                     };
-                    slot += 1;
+                    attempt += 1;
                     match fate {
                         FaultDecision::Deliver => {}
                         FaultDecision::Drop => {
@@ -242,18 +383,14 @@ impl<M: Message> FlatQueue<M> {
                         }
                         FaultDecision::Reorder => {
                             report.faults.reordered += 1;
-                            reordered.push((from, to, msg));
+                            reordered.push(Envelope { from, to, msg });
                             continue;
                         }
                     }
                 }
                 report.messages += 1;
                 report.words += msg.size_words() as u64;
-                if inbox[to].is_empty() {
-                    active.push(to);
-                }
-                inbox[to].push(Envelope { from, to, msg });
-                delivered_total += 1;
+                inbox.push(Envelope { from, to, msg });
             }
             report.max_edge_load = report.max_edge_load.max(take);
             report.max_edge_words_per_round = report.max_edge_words_per_round.max(bucket_words);
@@ -262,7 +399,7 @@ impl<M: Message> FlatQueue<M> {
                 report.edge_load_histogram[bucket] += 1;
             }
             if bucket_len > take {
-                self.left_eids.push(eid as u32);
+                self.left_slots.push(slot as u32);
                 for _ in take..bucket_len {
                     self.left_msgs
                         .push(stream.next().expect("bucket index matches storage"));
@@ -270,29 +407,18 @@ impl<M: Message> FlatQueue<M> {
                 self.left_starts.push(self.left_msgs.len() as u32);
             }
         }
+        flush_reordered(&mut reordered, inbox, report);
         debug_assert!(stream.next().is_none(), "all buckets drained");
         drop(stream);
         self.msgs = storage; // empty again, capacity retained
-        self.eids.clear();
+        self.slots.clear();
         self.starts.clear();
         self.starts.push(0);
-        // Reordered envelopes land behind every ordinary delivery of
-        // the round, in (edge, slot) scan order — a deterministic
-        // cross-edge reordering of the receiver's inbox.
-        for (from, to, msg) in reordered {
-            report.messages += 1;
-            report.words += msg.size_words() as u64;
-            if inbox[to].is_empty() {
-                active.push(to);
-            }
-            inbox[to].push(Envelope { from, to, msg });
-            delivered_total += 1;
-        }
-        delivered_total
+        inbox.envs.len() as u64
     }
 
     /// Enqueues the round's staged sends behind this round's leftovers,
-    /// grouped by edge. `staged` is drained in order (the caller keeps
+    /// grouped by slot. `staged` is drained in order (the caller keeps
     /// the buffer's capacity for the next round); within one edge,
     /// earlier stages keep their FIFO position (the sort below is
     /// stable), so queue contents are independent of how the executor
@@ -311,27 +437,16 @@ impl<M: Message> FlatQueue<M> {
     /// staging order) wider than `max_message_words`.
     pub(crate) fn stage(
         &mut self,
+        graph: &Graph,
         staged: &mut Vec<(usize, M)>,
         cfg: &EngineConfig,
         next_round: u64,
         report: &mut RunReport,
     ) -> Result<(), RunError> {
-        // Validate in staging order so the reported offender is
-        // deterministic and independent of edge grouping. Fault-parked
-        // messages were validated when first staged.
-        for (_, msg) in staged.iter() {
-            let words = msg.size_words();
-            if words > cfg.max_message_words {
-                return Err(RunError::OversizedMessage {
-                    words,
-                    cap: cfg.max_message_words,
-                });
-            }
-        }
         if !self.future.is_empty() {
             // Stable partition: due entries keep their park order and
             // are spliced in front of the fresh sends, so the stable
-            // sort below puts them first within each edge bucket.
+            // sort below puts them first within each bucket.
             let mut due: Vec<(usize, M)> = Vec::new();
             let mut kept: Vec<(u64, u32, M)> = Vec::with_capacity(self.future.len());
             for (when, eid, msg) in self.future.drain(..) {
@@ -349,37 +464,65 @@ impl<M: Message> FlatQueue<M> {
         if staged.is_empty() && self.left_msgs.is_empty() {
             return Ok(());
         }
-        self.sort_staged(staged); // stable by eid: preserves FIFO within an edge
-        debug_assert!(self.eids.is_empty(), "stage follows deliver (or round 0)");
-        // Merge the two ascending-by-eid runs (leftovers, then staged)
-        // bucket by bucket into the main storage.
+        debug_assert!(self.slots.is_empty(), "stage follows deliver (or round 0)");
+        assert!(
+            u32::try_from(staged.len()).is_ok(),
+            "a round's staging indices must fit the key's low 32 bits"
+        );
+        // One pass in staging order: validate (so the reported offender
+        // is deterministic and independent of slot grouping; re-entering
+        // fault-parked messages passed when first staged), key each send
+        // by `slot << 32 | index`, and park it by index for the merge.
+        self.keys.clear();
+        self.keys.reserve(staged.len());
+        self.gather.clear();
+        self.gather.reserve(staged.len());
+        let mut slot_bits = 0u64;
+        for (i, (eid, msg)) in staged.drain(..).enumerate() {
+            let words = msg.size_words();
+            if words > cfg.max_message_words {
+                return Err(RunError::OversizedMessage {
+                    words,
+                    cap: cfg.max_message_words,
+                });
+            }
+            let slot = graph.reverse_edge(eid) as u64;
+            slot_bits |= slot;
+            self.keys.push((slot << 32) | i as u64);
+            self.gather.push(Some(msg));
+        }
+        sort_staging_keys(&mut self.keys, &mut self.keys_tmp, slot_bits);
+        // Merge the two ascending-by-slot runs (leftovers, then sorted
+        // stages) bucket by bucket into the main storage.
         let mut li = 0usize; // leftover bucket index
+        let mut ki = 0usize; // sorted key index
         let mut left_storage = std::mem::take(&mut self.left_msgs);
         let mut left_msgs = left_storage.drain(..);
-        let mut staged_it = staged.drain(..).peekable();
         loop {
-            let next_left = self.left_eids.get(li).map(|&e| e as usize);
-            let next_staged = staged_it.peek().map(|&(e, _)| e);
-            let eid = match (next_left, next_staged) {
+            let next_left = self.left_slots.get(li).copied();
+            let next_staged = self.keys.get(ki).map(|&k| (k >> 32) as u32);
+            let slot = match (next_left, next_staged) {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
                 (None, Some(b)) => b,
                 (None, None) => break,
             };
             let bucket_start = self.msgs.len();
-            if next_left == Some(eid) {
+            if next_left == Some(slot) {
                 let count = (self.left_starts[li + 1] - self.left_starts[li]) as usize;
-                for _ in 0..count {
-                    self.msgs
-                        .push(left_msgs.next().expect("leftover index matches storage"));
-                }
+                self.msgs.extend(left_msgs.by_ref().take(count));
                 li += 1;
             }
-            while staged_it.peek().is_some_and(|&(e, _)| e == eid) {
-                let (_, msg) = staged_it.next().expect("peeked");
-                self.msgs.push(msg);
+            while let Some(&k) = self.keys.get(ki) {
+                if (k >> 32) as u32 != slot {
+                    break;
+                }
+                let msg = self.gather[k as u32 as usize].take();
+                self.msgs
+                    .push(msg.expect("each staging index is sorted once"));
+                ki += 1;
             }
-            self.eids.push(eid as u32);
+            self.slots.push(slot);
             self.starts.push(self.msgs.len() as u32);
             let backlog = self.msgs.len() - bucket_start;
             report.max_edge_backlog = report.max_edge_backlog.max(backlog);
@@ -387,9 +530,95 @@ impl<M: Message> FlatQueue<M> {
         debug_assert!(left_msgs.next().is_none());
         drop(left_msgs);
         self.left_msgs = left_storage; // empty again, capacity retained
-        self.left_eids.clear();
+        self.left_slots.clear();
         self.left_starts.clear();
         self.left_starts.push(0);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Sorts `slots` through the staging sort and returns the staging
+    /// indices in sorted order.
+    fn staging_order(slots: &[u32]) -> Vec<usize> {
+        let mut keys: Vec<u64> = slots
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (u64::from(s) << 32) | i as u64)
+            .collect();
+        let mut tmp = Vec::new();
+        let slot_bits = slots.iter().fold(0, |bits, &s| bits | u64::from(s));
+        sort_staging_keys(&mut keys, &mut tmp, slot_bits);
+        keys.iter().map(|&k| k as u32 as usize).collect()
+    }
+
+    fn stable_order(slots: &[u32]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_by_key(|&i| slots[i]);
+        order
+    }
+
+    /// Random slot vectors for a graph with `2m` directed edges: a mix
+    /// of uniform slots, a few hot slots (duplicate keys) and the
+    /// maximum slot `2m - 1`.
+    fn slot_vectors() -> impl Strategy<Value = Vec<u32>> {
+        (1u32..200_000, 0usize..3000).prop_flat_map(|(dir_edges, len)| {
+            proptest::collection::vec((0u32..dir_edges, 0u8..8), len..len + 1).prop_map(
+                move |picks| {
+                    picks
+                        .into_iter()
+                        .map(|(s, kind)| match kind {
+                            0 => dir_edges - 1,
+                            1 | 2 => s % 7,
+                            _ => s,
+                        })
+                        .collect()
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The staging sort (radix above the cutoff, comparison below)
+        /// is exactly a stable sort by slot.
+        #[test]
+        fn staging_sort_is_a_stable_sort_by_slot(slots in slot_vectors()) {
+            prop_assert_eq!(staging_order(&slots), stable_order(&slots));
+        }
+    }
+
+    #[test]
+    fn staging_sort_handles_edge_shapes() {
+        for len in [0usize, 1, RADIX_MIN_SENDS - 1, RADIX_MIN_SENDS, 3000] {
+            // All-equal keys (every radix pass skipped), descending keys,
+            // and keys spanning all four slot bytes.
+            let equal = vec![5u32; len];
+            let descending: Vec<u32> = (0..len as u32).rev().collect();
+            let wide: Vec<u32> = (0..len as u32)
+                .map(|i| i.wrapping_mul(0x9E37_79B9) | (i & 1) << 31)
+                .collect();
+            for slots in [equal, descending, wide] {
+                assert_eq!(staging_order(&slots), stable_order(&slots), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn inbox_slices_tile_the_buffer() {
+        let mut inbox: Inbox<u8> = Inbox::default();
+        for (from, to) in [(1, 0), (2, 0), (0, 3), (0, 3), (1, 7)] {
+            inbox.push(Envelope { from, to, msg: 0 });
+        }
+        let groups: Vec<(usize, usize)> = inbox.iter().map(|(v, m)| (v, m.len())).collect();
+        assert_eq!(groups, vec![(0, 2), (3, 2), (7, 1)]);
+        let groups_mut: Vec<(usize, usize)> = inbox.iter_mut().map(|(v, m)| (v, m.len())).collect();
+        assert_eq!(groups_mut, groups);
+        assert_eq!(inbox.node_count(), 3);
     }
 }

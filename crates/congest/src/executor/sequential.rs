@@ -1,9 +1,8 @@
 //! The sequential round executor: one thread, nodes in ascending order.
 
-use super::queue::FlatQueue;
+use super::queue::{FlatQueue, Inbox};
 use super::RoundExecutor;
 use crate::engine::{EngineConfig, MemoryReport, RunError, RunReport};
-use crate::message::Envelope;
 use crate::node_local::{NodeLocalAdapter, NodeLocalProtocol};
 use crate::protocol::{Ctx, Protocol};
 use crate::rng::NodeRngs;
@@ -13,17 +12,13 @@ use drw_graph::Graph;
 /// never shrink, so this is the run's true high-water mark.
 pub(super) fn memory_report<M>(
     queue_bytes: usize,
-    inbox: &[Vec<Envelope<M>>],
+    inbox: &Inbox<M>,
     rng_count: usize,
     staging_bytes: usize,
 ) -> MemoryReport {
     MemoryReport {
         queue_bytes,
-        inbox_bytes: inbox
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<Envelope<M>>())
-            .sum::<usize>()
-            + std::mem::size_of_val(inbox),
+        inbox_bytes: inbox.capacity_bytes(),
         rng_bytes: rng_count * std::mem::size_of::<rand::rngs::StdRng>(),
         staging_bytes,
     }
@@ -46,8 +41,7 @@ impl RoundExecutor for SequentialExecutor {
         let n = graph.n();
         let mut rngs = NodeRngs::new(seed, n);
         let mut queue: FlatQueue<P::Msg> = FlatQueue::for_graph(graph);
-        let mut inbox: Vec<Vec<Envelope<P::Msg>>> = vec![Vec::new(); n];
-        let mut active: Vec<usize> = Vec::new();
+        let mut inbox: Inbox<P::Msg> = Inbox::default();
         let mut report = RunReport::default();
         if cfg.record_edge_loads {
             report.edge_load_histogram = vec![0; super::queue::LOAD_HISTOGRAM_BUCKETS];
@@ -57,7 +51,7 @@ impl RoundExecutor for SequentialExecutor {
         let mut ctx = Ctx::new(graph, 0, &mut rngs);
         protocol.start(&mut ctx);
         let mut staged_buf = ctx.staged;
-        queue.stage(&mut staged_buf, cfg, 1, &mut report)?;
+        queue.stage(graph, &mut staged_buf, cfg, 1, &mut report)?;
 
         let mut round: u64 = 0;
         // Quiescence is `is_idle`, not queue emptiness: the fault layer
@@ -73,18 +67,15 @@ impl RoundExecutor for SequentialExecutor {
                 return Err(RunError::MaxRoundsExceeded(cfg.max_rounds));
             }
 
-            active.clear();
-            queue.deliver(graph, cfg, round, &mut report, &mut inbox, &mut active);
-            active.sort_unstable();
+            queue.deliver(graph, cfg, round, &mut report, &mut inbox);
 
             let mut ctx = Ctx::with_staged(graph, round, &mut rngs, staged_buf);
             protocol.on_round(&mut ctx);
-            for &node in &active {
-                protocol.on_receive(node, &inbox[node], &mut ctx);
-                inbox[node].clear(); // keep the allocation for next round
+            for (node, msgs) in inbox.iter() {
+                protocol.on_receive(node, msgs, &mut ctx);
             }
             staged_buf = ctx.staged;
-            queue.stage(&mut staged_buf, cfg, round + 1, &mut report)?;
+            queue.stage(graph, &mut staged_buf, cfg, round + 1, &mut report)?;
         }
 
         report.rounds = round;

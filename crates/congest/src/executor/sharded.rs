@@ -27,15 +27,14 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use super::queue::FlatQueue;
+use super::parallel::{work_items, WorkItem};
+use super::queue::{FlatQueue, Inbox};
 use super::RoundExecutor;
 use crate::engine::{EngineConfig, RunError, RunReport, WorkBalance};
-use crate::message::Envelope;
 use crate::node_local::{NodeCtx, NodeLocalProtocol};
 use crate::protocol::{Ctx, Protocol};
 use crate::rng::NodeRngs;
 use drw_graph::Graph;
-use rand::rngs::StdRng;
 
 /// Target messages of receive work per shard. Shards are the stealing
 /// granule: small enough that a round yields several per thread (so
@@ -151,14 +150,6 @@ impl ClaimMode<'_> {
             ClaimMode::Scripted(s) => s.msgs_per_shard.max(1),
         }
     }
-}
-
-/// One receiving node's slice of the round (see `parallel.rs`).
-struct WorkItem<'a, P: NodeLocalProtocol> {
-    node: usize,
-    state: &'a mut P::NodeState,
-    rng: &'a mut StdRng,
-    inbox: &'a mut Vec<Envelope<P::Msg>>,
 }
 
 /// A claimed unit of receive work: its nodes and its private staging
@@ -293,8 +284,7 @@ fn run_impl<P: NodeLocalProtocol>(
     let n = graph.n();
     let mut rngs = NodeRngs::new(seed, n);
     let mut queue: FlatQueue<P::Msg> = FlatQueue::for_graph(graph);
-    let mut inbox: Vec<Vec<Envelope<P::Msg>>> = vec![Vec::new(); n];
-    let mut active: Vec<usize> = Vec::new();
+    let mut inbox: Inbox<P::Msg> = Inbox::default();
     let mut report = RunReport::default();
     let mut balance = WorkBalance::default();
     if cfg.record_edge_loads {
@@ -305,7 +295,7 @@ fn run_impl<P: NodeLocalProtocol>(
     let mut ctx = Ctx::new(graph, 0, &mut rngs);
     protocol.start(&mut ctx);
     let mut staged_buf = ctx.staged;
-    queue.stage(&mut staged_buf, cfg, 1, &mut report)?;
+    queue.stage(graph, &mut staged_buf, cfg, 1, &mut report)?;
 
     let mut round: u64 = 0;
     // `is_idle`, not emptiness: fault-delayed messages parked for
@@ -320,9 +310,7 @@ fn run_impl<P: NodeLocalProtocol>(
             return Err(RunError::MaxRoundsExceeded(cfg.max_rounds));
         }
 
-        active.clear();
-        let delivered = queue.deliver(graph, cfg, round, &mut report, &mut inbox, &mut active);
-        active.sort_unstable();
+        let delivered = queue.deliver(graph, cfg, round, &mut report, &mut inbox);
 
         // Global hook first, sequentially, exactly like the
         // sequential executor; its stages precede all node stages.
@@ -334,19 +322,18 @@ fn run_impl<P: NodeLocalProtocol>(
         // delivery volume — never of thread count or scheduling.
         let want_shards = ((delivered / mode.msgs_per_shard()) as usize)
             .clamp(1, MAX_SHARDS)
-            .min(active.len().max(1));
+            .min(inbox.node_count().max(1));
         if want_shards < 2 {
             // Inline receive phase: identical to the sequential
             // backend by construction.
             balance.rounds_inline += 1;
             let (shared, states) = protocol.parts();
-            for &node in &active {
+            for (node, msgs) in inbox.iter() {
                 let mut nctx = NodeCtx::new(graph, round, node, rngs.node(node), &mut staged);
-                P::on_receive_local(shared, &mut states[node], node, &inbox[node], &mut nctx);
-                inbox[node].clear(); // keep the allocation for next round
+                P::on_receive_local(shared, &mut states[node], node, msgs, &mut nctx);
             }
         } else {
-            let counts: Vec<usize> = active.iter().map(|&v| inbox[v].len()).collect();
+            let counts: Vec<usize> = inbox.iter().map(|(_, msgs)| msgs.len()).collect();
             let (sizes, loads) = partition_by_load(&counts, delivered as usize, want_shards);
 
             if sizes.len() >= 2 {
@@ -367,32 +354,9 @@ fn run_impl<P: NodeLocalProtocol>(
             let (shared, states) = protocol.parts();
             debug_assert_eq!(states.len(), n, "one NodeState per node required");
 
-            // Carve disjoint &mut views for each receiving node (same
-            // split_at_mut walk as the parallel backend).
-            let mut items: Vec<WorkItem<'_, P>> = Vec::with_capacity(active.len());
-            let mut rest_states: &mut [P::NodeState] = states;
-            let mut rest_rngs: &mut [StdRng] = rngs.as_mut_slice();
-            let mut rest_inbox: &mut [Vec<Envelope<P::Msg>>] = &mut inbox;
-            let mut consumed = 0usize;
-            for &node in &active {
-                let offset = node - consumed;
-                let (_, tail) = std::mem::take(&mut rest_states).split_at_mut(offset);
-                let (head, tail) = tail.split_at_mut(1);
-                rest_states = tail;
-                let (_, rtail) = std::mem::take(&mut rest_rngs).split_at_mut(offset);
-                let (rhead, rtail) = rtail.split_at_mut(1);
-                rest_rngs = rtail;
-                let (_, itail) = std::mem::take(&mut rest_inbox).split_at_mut(offset);
-                let (ihead, itail) = itail.split_at_mut(1);
-                rest_inbox = itail;
-                consumed = node + 1;
-                items.push(WorkItem {
-                    node,
-                    state: &mut head[0],
-                    rng: &mut rhead[0],
-                    inbox: &mut ihead[0],
-                });
-            }
+            // Carve disjoint &mut views for each receiving node (shared
+            // with the parallel backend).
+            let items = work_items::<P>(states, rngs.as_mut_slice(), &mut inbox);
 
             // Group items into shard tasks (contiguous, so shard
             // order == ascending node order).
@@ -417,7 +381,6 @@ fn run_impl<P: NodeLocalProtocol>(
                         let start = out.len();
                         let mut nctx = NodeCtx::new(graph, round, item.node, item.rng, out);
                         P::on_receive_local(shared, item.state, item.node, item.inbox, &mut nctx);
-                        item.inbox.clear(); // keep the allocation
                         if reversed {
                             // Injected race (`scramble_item_order`): an
                             // out-of-position item's batch lands reversed,
@@ -530,7 +493,7 @@ fn run_impl<P: NodeLocalProtocol>(
             }
         }
         staged_buf = staged;
-        queue.stage(&mut staged_buf, cfg, round + 1, &mut report)?;
+        queue.stage(graph, &mut staged_buf, cfg, round + 1, &mut report)?;
     }
 
     report.rounds = round;

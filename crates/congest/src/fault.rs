@@ -3,7 +3,8 @@
 //! A [`FaultPlan`] turns the perfect network the engine normally
 //! simulates into a lossy one: at delivery time each message may be
 //! dropped, delayed (re-enqueued a fixed number of rounds later), or
-//! reordered (diverted behind every other delivery of its round). The
+//! reordered (diverted behind the receiver's other deliveries of its
+//! round). The
 //! decision is a **pure function of `(plan seed, round, edge id,
 //! in-bucket message index)`** — the logical identity of a delivery
 //! attempt, which every executor backend presents in the same order —
@@ -39,7 +40,8 @@ pub(crate) enum FaultDecision {
     Drop,
     /// Re-enqueued `delay_rounds` later.
     Delay,
-    /// Delivered this round, but after every other delivery.
+    /// Delivered this round, but after the receiver's ordinary
+    /// deliveries (reordered ones keep edge-id order among themselves).
     Reorder,
 }
 
@@ -116,7 +118,7 @@ pub struct FaultPlan {
     /// edge queue (minimum 1).
     pub delay_rounds: u32,
     /// Probability (‰) that a delivery attempt is reordered behind the
-    /// round's other deliveries.
+    /// receiver's other deliveries of the round.
     pub reorder_per_mille: u16,
     /// If true, dropped messages are retransmitted after `rto` rounds
     /// (reliable-link ARQ); if false, drops are permanent.

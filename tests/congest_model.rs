@@ -3,9 +3,9 @@
 use distributed_random_walks::prelude::*;
 use drw_congest::primitives::{BfsTreeProtocol, UpcastMsg, UpcastProtocol, VectorSumProtocol};
 use drw_congest::{
-    run_node_local, run_protocol, Ctx, Envelope, FaultPlan, Mux2, NodeCtx, NodeLocalProtocol,
-    RoundExecutor, RunError, Runner, ScriptedSchedule, ScriptedTiming, SequentialExecutor,
-    ShardedExecutor,
+    run_node_local, run_protocol, Ctx, Envelope, FaultPlan, Message, Mux2, NodeCtx,
+    NodeLocalProtocol, ParallelExecutor, Protocol, RoundExecutor, RunError, Runner,
+    ScriptedSchedule, ScriptedTiming, SequentialExecutor, ShardedExecutor,
 };
 use drw_core::get_more_walks::GetMoreWalksProtocol;
 use drw_core::short_walks::ShortWalksProtocol;
@@ -334,4 +334,233 @@ fn message_accounting_matches_rounds_for_single_token() {
     assert_eq!(report.rounds, 57);
     assert_eq!(report.messages, 57);
     assert_eq!(report.max_edge_backlog, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Inbox order. Every executor hands a node its round's messages grouped by
+// ascending sender and FIFO per sender (the flat queue's slot order);
+// reorder faults move envelopes to the end of the receiver's slice, in
+// edge order. Protocols may rely on both, so they are pinned here.
+// ---------------------------------------------------------------------------
+
+/// A burst message: its per-edge sequence number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Burst(u32);
+impl Message for Burst {}
+
+/// One node's received `(from, seq)` pairs, per round it received in.
+type InboxLog = Vec<(u64, Vec<(usize, u32)>)>;
+
+/// Every node sends a 3-message burst (seq 0..3) to each neighbour in
+/// round 0 and a second one (seq 3..6) on its round-1 receive, so with
+/// `edge_capacity: Some(2)` each edge carries leftovers that later sends
+/// queue behind. Sends never depend on inbox order, so the per-edge
+/// deliveries of every round are the same under any reordering.
+fn burst(first: u32) -> impl Iterator<Item = Burst> {
+    (first..first + 3).map(Burst)
+}
+
+fn log_inbox(log: &mut InboxLog, round: u64, inbox: &[Envelope<Burst>]) {
+    log.push((round, inbox.iter().map(|e| (e.from, e.msg.0)).collect()));
+}
+
+/// The plain-`Protocol` burst probe, for the sequential reference.
+struct BurstProbe {
+    logs: Vec<InboxLog>,
+}
+
+impl Protocol for BurstProbe {
+    type Msg = Burst;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, Burst>) {
+        for v in 0..ctx.graph().n() {
+            for u in ctx.graph().neighbors(v).collect::<Vec<_>>() {
+                for m in burst(0) {
+                    ctx.send(v, u, m);
+                }
+            }
+        }
+    }
+
+    fn on_receive(&mut self, node: usize, inbox: &[Envelope<Burst>], ctx: &mut Ctx<'_, Burst>) {
+        log_inbox(&mut self.logs[node], ctx.round(), inbox);
+        if ctx.round() == 1 {
+            for u in ctx.graph().neighbors(node).collect::<Vec<_>>() {
+                for m in burst(3) {
+                    ctx.send(node, u, m);
+                }
+            }
+        }
+    }
+}
+
+/// The node-local twin of [`BurstProbe`], which the parallel and sharded
+/// executors actually shard.
+struct BurstProbeLocal {
+    logs: Vec<InboxLog>,
+}
+
+impl NodeLocalProtocol for BurstProbeLocal {
+    type Msg = Burst;
+    type Shared = ();
+    type NodeState = InboxLog;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, Burst>) {
+        BurstProbe { logs: Vec::new() }.start(ctx);
+    }
+
+    fn parts(&mut self) -> (&(), &mut [InboxLog]) {
+        (&(), &mut self.logs)
+    }
+
+    fn on_receive_local(
+        _: &(),
+        log: &mut InboxLog,
+        node: usize,
+        inbox: &[Envelope<Burst>],
+        ctx: &mut NodeCtx<'_, Burst>,
+    ) {
+        log_inbox(log, ctx.round(), inbox);
+        if ctx.round() == 1 {
+            for u in ctx.graph().neighbors(node).collect::<Vec<_>>() {
+                for m in burst(3) {
+                    ctx.send(u, m);
+                }
+            }
+        }
+    }
+}
+
+/// Runs the burst probe on all three executors (the plain protocol on
+/// the sequential reference, the node-local twin on every backend, with
+/// worker counts and a scripted reversed shard claim that shard every
+/// round big enough) and returns the per-node logs, asserting they
+/// agree everywhere.
+fn burst_logs(g: &Graph, cfg: &EngineConfig) -> Vec<InboxLog> {
+    let mut plain = BurstProbe {
+        logs: vec![Vec::new(); g.n()],
+    };
+    let r_ref = run_protocol(g, cfg, 5, &mut plain).unwrap();
+    let local = || BurstProbeLocal {
+        logs: vec![Vec::new(); g.n()],
+    };
+    let mut seq = local();
+    let r_seq = SequentialExecutor
+        .run_node_local(g, cfg, 5, &mut seq)
+        .unwrap();
+    let mut par = local();
+    let r_par = ParallelExecutor::new(3)
+        .run_node_local(g, cfg, 5, &mut par)
+        .unwrap();
+    let mut sha = local();
+    let r_sha = ShardedExecutor::new(2)
+        .run_node_local(g, cfg, 5, &mut sha)
+        .unwrap();
+    let mut scripted = local();
+    let mut reversed = |_round, s| (0..s).rev().collect();
+    let schedule = ScriptedSchedule::new(16, &mut reversed);
+    let r_scr =
+        ShardedExecutor::run_node_local_scripted(g, cfg, 5, &mut scripted, schedule).unwrap();
+    for (name, r, logs) in [
+        ("node-local sequential", &r_seq, &seq.logs),
+        ("parallel", &r_par, &par.logs),
+        ("sharded", &r_sha, &sha.logs),
+        ("scripted sharded", &r_scr, &scripted.logs),
+    ] {
+        assert_eq!(r, &r_ref, "{name}: report");
+        assert_eq!(logs, &plain.logs, "{name}: inbox logs");
+    }
+    assert!(
+        r_scr.balance.as_ref().unwrap().rounds_measured > 0,
+        "the scripted sharded run must actually shard"
+    );
+    plain.logs
+}
+
+/// Burst graphs and the capacity that makes bursts back up. `complete(24)`
+/// has 23 neighbours per node and 24 * 23 * 2 = 1104 deliveries per busy
+/// round: past the parallel backend's fan-out threshold, enough for
+/// several 256-message shards, and staged through the radix sort.
+/// `complete(5)` stages 60 sends a round, through the comparison sort.
+fn burst_configs() -> Vec<(Graph, EngineConfig)> {
+    let cfg = EngineConfig {
+        edge_capacity: Some(2),
+        ..EngineConfig::default()
+    };
+    vec![
+        (generators::complete(24), cfg.clone()),
+        (generators::complete(5), cfg),
+    ]
+}
+
+/// Every inbox is grouped by ascending sender and FIFO per sender, on
+/// every executor — and FIFO holds across rounds, through the capacity
+/// leftovers that later bursts queue behind.
+#[test]
+fn inboxes_are_grouped_by_sender_and_fifo_on_every_executor() {
+    for (g, cfg) in burst_configs() {
+        let logs = burst_logs(&g, &cfg);
+        for (node, log) in logs.iter().enumerate() {
+            assert!(log.len() >= 3, "node {node}: bursts span three rounds");
+            let mut per_sender: Vec<Vec<u32>> = vec![Vec::new(); g.n()];
+            for (round, inbox) in log {
+                assert!(
+                    inbox.windows(2).all(|w| w[0].0 <= w[1].0),
+                    "node {node} round {round}: inbox not grouped by sender: {inbox:?}"
+                );
+                for &(from, seq) in inbox {
+                    per_sender[from].push(seq);
+                }
+            }
+            for u in g.neighbors(node) {
+                assert_eq!(per_sender[u], (0..6).collect::<Vec<_>>(), "{u} -> {node}");
+            }
+        }
+    }
+}
+
+/// Whether `got` is `want` with some subsequence moved, in order, to the
+/// end (messages are unique, so the greedy two-pointer match is exact).
+fn is_reordered_tail(want: &[(usize, u32)], got: &[(usize, u32)]) -> bool {
+    want.len() == got.len()
+        && (0..=got.len()).any(|p| {
+            let (head, tail) = got.split_at(p);
+            let (mut a, mut b) = (0, 0);
+            want.iter().all(|x| {
+                if head.get(a) == Some(x) {
+                    a += 1;
+                } else if tail.get(b) == Some(x) {
+                    b += 1;
+                } else {
+                    return false;
+                }
+                true
+            }) && a == head.len()
+                && b == tail.len()
+        })
+}
+
+/// Under a reorder-only plan each round delivers the same messages, and
+/// every inbox is the fault-free inbox with its reordered envelopes
+/// moved to the end of the slice, in edge order.
+#[test]
+fn reordered_envelopes_land_last_in_edge_order() {
+    for (g, cfg) in burst_configs() {
+        let clean = burst_logs(&g, &cfg);
+        let faulty_cfg = cfg.with_faults(FaultPlan::new(17).with_reorder(150));
+        let faulty = burst_logs(&g, &faulty_cfg);
+        let mut moved = 0;
+        for (node, (want, got)) in clean.iter().zip(&faulty).enumerate() {
+            assert_eq!(want.len(), got.len(), "node {node}: same receive rounds");
+            for ((round, w), (round2, f)) in want.iter().zip(got) {
+                assert_eq!(round, round2, "node {node}");
+                assert!(
+                    is_reordered_tail(w, f),
+                    "node {node} round {round}: {f:?} is not {w:?} with a reordered tail"
+                );
+                moved += usize::from(w != f);
+            }
+        }
+        assert!(moved > 0, "n = {}: the plan must reorder some inbox", g.n());
+    }
 }
